@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/hash"
 )
@@ -94,19 +95,21 @@ type Roller struct {
 	out *[256]uint64
 }
 
-// outTables caches eviction tables per window width; windows are few.
-var outTables = map[int]*[256]uint64{}
+// outTables caches eviction tables per window width (int → *[256]uint64);
+// windows are few. Rollers are built from concurrent writers, so the cache
+// must be safe for concurrent first use of a width.
+var outTables sync.Map
 
 func outTableFor(w int) *[256]uint64 {
-	if t, ok := outTables[w]; ok {
-		return t
+	if t, ok := outTables.Load(w); ok {
+		return t.(*[256]uint64)
 	}
 	var t [256]uint64
 	for i := range t {
 		t[i] = rotl64(buzTable[i], uint(w%64))
 	}
-	outTables[w] = &t
-	return &t
+	got, _ := outTables.LoadOrStore(w, &t)
+	return got.(*[256]uint64)
 }
 
 // NewRoller returns a Roller over a window of w bytes (w must be positive).

@@ -32,10 +32,11 @@ func soakBatch(client, round int) []core.Entry {
 }
 
 // TestServingChaosSoak drives concurrent clients through a fault-injecting
-// proxy while the proxy rotates chaos modes, then asserts the three
-// serving-layer safety properties: every acknowledged write survives, the
-// head converges byte-identical to a clean rebuild of the same contents,
-// and the whole version graph scrubs clean.
+// proxy while the proxy rotates chaos modes with the clients' progress,
+// then asserts the three serving-layer safety properties: every
+// acknowledged write survives, the head converges byte-identical to a
+// clean rebuild of the same contents, and the whole version graph scrubs
+// clean.
 func TestServingChaosSoak(t *testing.T) {
 	checkNoGoroutineLeaks(t)
 	cfg := postree.ConfigForNodeSize(256)
@@ -88,6 +89,38 @@ func TestServingChaosSoak(t *testing.T) {
 		CacheBytes:       1 << 20,
 	}
 
+	// Rotate chaos modes as the clients progress: each mode gets an equal
+	// share of the clients' rounds, so every mode sees traffic however
+	// fast or slow the machine runs the rounds. The sequence ends clean so
+	// stragglers can finish.
+	modes := []netchaos.Config{
+		{Seed: 42}, // clean warmup
+		{Seed: 42, LatencyC2S: time.Millisecond, Jitter: 2 * time.Millisecond}, // slow link
+		{Seed: 42, DropAcceptEvery: 3},                                         // flaky dials
+		{Seed: 42, TruncateEvery: 8},                                           // torn frames
+		{Seed: 42, ThroughputBytesPerSec: 256 << 10},                           // thin pipe
+		{Seed: 42}, // clean cooldown
+	}
+	var (
+		modeMu  sync.Mutex
+		started int // client rounds begun so far
+		mode    = -1
+	)
+	advance := func() {
+		modeMu.Lock()
+		defer modeMu.Unlock()
+		next := started * len(modes) / (clients * rounds)
+		started++
+		if next == mode {
+			return
+		}
+		mode = next
+		proxy.SetConfig(modes[mode])
+		if mode == 2 {
+			proxy.Partition(80 * time.Millisecond) // blackhole mid-soak
+		}
+	}
+
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -100,8 +133,9 @@ func TestServingChaosSoak(t *testing.T) {
 				}
 			}()
 			for r := 0; r < rounds; r++ {
-				// Pace the rounds across the chaos rotation, and redial
+				// Advance the chaos rotation, pace the rounds, and redial
 				// periodically so accept-time faults see fresh dials too.
+				advance()
 				time.Sleep(8 * time.Millisecond)
 				if cli != nil && r%5 == 4 {
 					cli.Close()
@@ -136,29 +170,7 @@ func TestServingChaosSoak(t *testing.T) {
 		}(c)
 	}
 
-	// Rotate chaos modes while the clients run. Each mode gets a slice of
-	// the soak; the sequence ends clean so stragglers can finish.
-	modes := []netchaos.Config{
-		{Seed: 42}, // clean warmup
-		{Seed: 42, LatencyC2S: time.Millisecond, Jitter: 2 * time.Millisecond}, // slow link
-		{Seed: 42, DropAcceptEvery: 3},                                         // flaky dials
-		{Seed: 42, TruncateEvery: 8},                                           // torn frames
-		{Seed: 42, ThroughputBytesPerSec: 256 << 10},                           // thin pipe
-		{Seed: 42}, // clean cooldown
-	}
-	chaosDone := make(chan struct{})
-	go func() {
-		defer close(chaosDone)
-		for i, m := range modes {
-			proxy.SetConfig(m)
-			if i == 2 {
-				proxy.Partition(80 * time.Millisecond) // blackhole mid-soak
-			}
-			time.Sleep(120 * time.Millisecond)
-		}
-	}()
 	wg.Wait()
-	<-chaosDone
 	proxy.SetConfig(netchaos.Config{Seed: 42}) // chaos off for verification
 
 	if c := proxy.Counters(); c.DroppedAccepts == 0 && c.TruncatedConns == 0 {

@@ -61,7 +61,13 @@
 // the retry is idempotent by content addressing. A servlet built with
 // NewServletRepo commits every accepted batch to a version.Repo branch
 // through version.CommitRetry, making each network write a durable,
-// GC-race-proof commit; Close drains in-flight requests before returning.
+// GC-race-proof commit. The commit is a compare-and-swap on the branch
+// head: a batch built on a head another batch has since replaced fails
+// with version.ErrHeadMoved and is reapplied to the fresh head, so
+// concurrent batches serialize and no acknowledged write is dropped. The
+// servlet publishes a won commit as its served root only while it is still
+// the branch head, and acks each batch with its own commit's root. Close
+// drains in-flight requests before returning.
 //
 // # Roles in the larger system
 //

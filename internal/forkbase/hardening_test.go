@@ -1,9 +1,11 @@
 package forkbase
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,6 +221,114 @@ func TestServletRepoCommitsEveryBatch(t *testing.T) {
 	}
 	if !rep.OK() || rep.Commits != 4 {
 		t.Fatalf("verify after servlet writes = %s, faults %v", rep, rep.Faults)
+	}
+}
+
+// TestServletRepoConcurrentPuts races write batches from several clients
+// straight at a repo-backed servlet. Every ack must carry a root that
+// holds its own batch, and once all writers return the served root must be
+// the branch head, holding every acked key, with one commit per batch.
+func TestServletRepoConcurrentPuts(t *testing.T) {
+	const (
+		clients = 6
+		batches = 10
+	)
+	cfg := postree.ConfigForNodeSize(256)
+	s := store.NewMemStore()
+	repo := version.NewRepo(s)
+	idx, err := postree.Build(s, cfg, entriesN(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo.RegisterLoader(idx.Name(), func(st store.Store, root hash.Hash, height int) (core.Index, error) {
+		return postree.Load(st, cfg, root, height), nil
+	})
+	if _, err := repo.Commit("main", idx, "seed"); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServletRepo(repo, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	batch := func(c, b int) []core.Entry {
+		out := make([]core.Entry, 3)
+		for i := range out {
+			out[i] = core.Entry{
+				Key:   []byte(fmt.Sprintf("p%02d-%03d-%d", c, b, i)),
+				Value: []byte(fmt.Sprintf("v%02d-%03d-%d", c, b, i)),
+			}
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cli, err := Dial(addr, posLoader(cfg), 1<<20)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cli.Close()
+			for b := 0; b < batches; b++ {
+				if err := cli.PutBatch(batch(c, b)); err != nil {
+					errs <- fmt.Errorf("client %d batch %d: %w", c, b, err)
+					return
+				}
+				// PutBatch adopted the ack's root: it must hold the batch.
+				for _, e := range batch(c, b) {
+					if v, ok, err := cli.Get(e.Key); err != nil || !ok || !bytes.Equal(v, e.Value) {
+						errs <- fmt.Errorf("acked root lacks %q: %q, %v, %v", e.Key, v, ok, err)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	head, ok := repo.Head("main")
+	if !ok {
+		t.Fatal("branch main lost its head")
+	}
+	if served := srv.Head().RootHash(); served != head.Root {
+		t.Fatalf("served root %x != branch head root %x", served[:6], head.Root[:6])
+	}
+	cli, err := Dial(addr, posLoader(cfg), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < clients; c++ {
+		for b := 0; b < batches; b++ {
+			for _, e := range batch(c, b) {
+				if v, ok, err := cli.Get(e.Key); err != nil || !ok || !bytes.Equal(v, e.Value) {
+					t.Fatalf("acked write %q lost: %q, %v, %v", e.Key, v, ok, err)
+				}
+			}
+		}
+	}
+	log, err := repo.Log("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := clients*batches + 1; len(log) != want {
+		t.Fatalf("log has %d commits, want %d (seed + one per batch)", len(log), want)
 	}
 }
 

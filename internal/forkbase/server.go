@@ -46,8 +46,9 @@ type ServerOptions struct {
 	// 2 minutes; negative = never reap.
 	IdleTimeout time.Duration
 	// MaxFrameBytes caps a single request frame; an oversized frame is a
-	// protocol error that drops the connection before the payload is read.
-	// 0 (or anything over the protocol-wide 64 MiB bound) = that bound.
+	// protocol error that drops the connection without buffering the
+	// payload. 0 (or anything over the protocol-wide 64 MiB bound) = that
+	// bound.
 	MaxFrameBytes int
 }
 
@@ -57,6 +58,10 @@ const (
 	defaultMaxInflight = 64
 	defaultIdleTimeout = 2 * time.Minute
 )
+
+// errorLinger bounds how long a connection dropped for a protocol error
+// keeps discarding what its peer already sent (see lingerClose).
+const errorLinger = time.Second
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.MaxConns == 0 {
@@ -79,9 +84,10 @@ func (o ServerOptions) withDefaults() ServerOptions {
 //
 // A servlet built with NewServlet holds its head in memory only. One built
 // with NewServletRepo commits every write batch to a version.Repo branch
-// through CommitRetry, so writes that race a concurrent GC pass are redone
-// server-side; if the retry budget is exhausted the client gets an explicit
-// msgErrRetry and resends.
+// through CommitRetry's compare-and-swap, so batches that race each other
+// or a concurrent GC pass are redone server-side against the fresh head;
+// if the retry budget is exhausted the client gets an explicit msgErrRetry
+// and resends.
 type Servlet struct {
 	ln   net.Listener
 	opts ServerOptions
@@ -123,8 +129,10 @@ func (s *Servlet) WithOptions(o ServerOptions) *Servlet {
 }
 
 // NewServletRepo returns a servlet whose head is the given branch of repo:
-// every accepted write batch becomes a commit on that branch. The branch
-// must already exist (seed it with an initial commit first).
+// every accepted write batch becomes a commit on that branch, made through
+// version.CommitRetry's compare-and-swap on the branch head so concurrent
+// batches never drop each other. The branch must already exist (seed it
+// with an initial commit first).
 func NewServletRepo(repo *version.Repo, branch string) (*Servlet, error) {
 	idx, err := repo.CheckoutBranch(branch)
 	if err != nil {
@@ -276,10 +284,10 @@ func (s *Servlet) handleConn(conn net.Conn) {
 				// answer and a stalled peer is not reading anyway.
 				return
 			}
-			if errors.Is(err, version.ErrCommitRaced) {
+			if errors.Is(err, version.ErrCommitRaced) || errors.Is(err, version.ErrHeadMoved) {
 				// Transient by contract: the commit lost to a concurrent GC
-				// pass beyond the server-side retry budget. Tell the client
-				// to resend and keep the connection.
+				// pass or to other writers beyond the server-side retry
+				// budget. Tell the client to resend and keep the connection.
 				if writeMsg(conn, msgErrRetry, []byte(err.Error())) != nil {
 					return
 				}
@@ -303,14 +311,30 @@ func (s *Servlet) handleConn(conn net.Conn) {
 				}
 				continue
 			}
-			// Best effort error report, then drop the connection.
-			_ = writeMsg(conn, msgErr, []byte(err.Error()))
+			// Error report, then drop the connection.
+			if writeMsg(conn, msgErr, []byte(err.Error())) == nil {
+				lingerClose(conn)
+			}
 			return
 		}
 		if err := writeMsg(conn, typ, payload); err != nil {
 			return
 		}
 	}
+}
+
+// lingerClose half-closes conn after an error reply and discards what the
+// peer sends until it closes or errorLinger passes. Closing a socket with
+// unread input makes the kernel answer with a reset, which can reach the
+// peer before it reads the reply — or fail the rest of the request it is
+// still writing (the payload of an oversized frame) — so the peer would
+// see "connection reset" instead of the error that explains it.
+func lingerClose(conn net.Conn) {
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite()
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(errorLinger))
+	_, _ = io.Copy(io.Discard, conn)
 }
 
 // serveOne reads one request, applies admission (frame cap, idle deadline,
@@ -505,20 +529,24 @@ func (s *Servlet) dispatch(typ byte, payload []byte, deadline time.Time) (byte, 
 }
 
 // commitBatch applies one write batch as a commit on the servlet's branch.
-// CommitRetry absorbs ErrCommitRaced with backoff; if it still exhausts the
-// budget the raced error propagates and handleConn maps it to msgErrRetry.
-// The repo serializes commits itself, so s.mu is held only to publish the
-// new head for node serving.
+// CommitRetry commits it as a compare-and-swap on the branch head, redoing
+// the batch against a fresh head when another writer or a GC pass got in
+// first; if it still exhausts the budget the error propagates and
+// handleConn maps it to msgErrRetry. The repo serializes commits itself, so
+// s.mu is held only to publish the new head for node serving — and only
+// while the won commit is still the branch head, so concurrent batches
+// never publish out of commit order. The ack carries the won commit's own
+// root, which contains the batch whether or not it is still the head.
 func (s *Servlet) commitBatch(entries []core.Entry, deadline time.Time) (byte, []byte, error) {
 	var next core.Index
-	_, err := version.CommitRetry(s.repo, s.branch,
+	c, err := version.CommitRetry(s.repo, s.branch,
 		fmt.Sprintf("forkbase: put %d entries", len(entries)),
 		func(idx core.Index) (core.Index, error) {
 			if idx == nil {
 				return nil, fmt.Errorf("forkbase: branch %q disappeared", s.branch)
 			}
 			// Check inside the mutate: CommitRetry may re-run it after a
-			// raced commit plus backoff, by which time the budget may be
+			// lost commit plus backoff, by which time the budget may be
 			// gone. Aborting here leaves no partial state — the commit that
 			// would publish the work never happens.
 			if budgetExpired(deadline) {
@@ -535,10 +563,11 @@ func (s *Servlet) commitBatch(entries []core.Entry, deadline time.Time) (byte, [
 		return 0, nil, err
 	}
 	s.mu.Lock()
-	s.idx = next
-	root, height := s.idx.RootHash(), s.headHeight()
+	if head, ok := s.repo.Head(s.branch); ok && head.ID == c.ID {
+		s.idx = next
+	}
 	s.mu.Unlock()
-	return msgRoot, encodeRoot(root, height), nil
+	return msgRoot, encodeRoot(c.Root, c.Height), nil
 }
 
 // commitTableBatch applies one write batch through the secondary.Table:

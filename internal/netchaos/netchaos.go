@@ -218,23 +218,32 @@ func (p *Proxy) pump(dst, src net.Conn, bytes *atomic.Int64, c2s bool) {
 			}
 			if cfg.TruncateEvery > 0 && p.chunks.Add(1)%int64(cfg.TruncateEvery) == 0 {
 				p.truncated.Add(1)
-				half := n / 2
-				if half > 0 {
-					if _, werr := dst.Write(buf[:half]); werr == nil {
-						bytes.Add(int64(half))
-					}
+				if half := n / 2; half > 0 {
+					relay(dst, buf[:half], bytes)
 				}
 				return // deferred untracks cut both sides
 			}
-			if _, werr := dst.Write(buf[:n]); werr != nil {
+			if !relay(dst, buf[:n], bytes) {
 				return
 			}
-			bytes.Add(int64(n))
 		}
 		if err != nil {
 			return
 		}
 	}
+}
+
+// relay writes b to dst and counts the bytes delivered. The count goes up
+// before the write, so a peer that has read the bytes always sees them in
+// Counters; whatever the write fails to deliver is taken back.
+func relay(dst net.Conn, b []byte, bytes *atomic.Int64) bool {
+	bytes.Add(int64(len(b)))
+	w, err := dst.Write(b)
+	if err != nil {
+		bytes.Add(int64(w - len(b)))
+		return false
+	}
+	return true
 }
 
 // delay applies partition stalls, per-direction latency, jitter, and the

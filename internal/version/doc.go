@@ -72,11 +72,20 @@
 //
 // On a store with the BarrierStore capability (all four built-in backends)
 // GC runs concurrently with everything: Commit, Put/PutBatch on checked-out
-// indexes, Checkout, and reads. Callers need only honor two rules:
+// indexes, Checkout, and reads. Callers need only honor three rules:
 //
 //   - Retry ErrCommitRaced: a commit whose version was flushed before the
 //     pass began marking, and which nothing protects, is rejected after the
 //     sweep. Re-checkout the branch and reapply the mutation.
+//   - One branch, one unconditional writer. Commit and CommitMeta are
+//     unconditional: they move the branch to the version they are handed,
+//     recording the head at commit time as its parent, whichever head the
+//     version was derived from. Two writers that both build on head H and
+//     commit that way leave a log H ← A ← B whose B lacks A's changes.
+//     Concurrent writers on a branch must commit through CommitRetry /
+//     CommitRetryMeta, a compare-and-swap on the branch head: a commit
+//     whose base is no longer the head fails with ErrHeadMoved, nothing
+//     moves, and the loop redoes the mutation from a fresh checkout.
 //   - Pin what you read, pin what you build on. A long-lived read view of a
 //     commit that retention may drop must come from CheckoutPinned /
 //     CheckoutBranchPinned; an unpinned view of a dropped version loses its

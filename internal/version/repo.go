@@ -42,6 +42,12 @@ var (
 	// reclaimed it. The store is consistent — the commit was not recorded
 	// — and the fix is to redo the mutation from a fresh checkout.
 	ErrCommitRaced = errors.New("version: commit raced a GC pass; redo the mutation from a fresh checkout")
+	// ErrHeadMoved reports a compare-and-swap commit (the CommitRetry path)
+	// whose branch head is no longer the commit its version was built on:
+	// another writer committed in between. Nothing moved — the commit was
+	// not recorded — and the fix is to redo the mutation from a fresh
+	// checkout, so the new version includes the other writer's work.
+	ErrHeadMoved = errors.New("version: branch head moved since checkout; redo the mutation from a fresh checkout")
 )
 
 // Repo is a commit log plus named branches over one content-addressed
@@ -154,7 +160,21 @@ func (r *Repo) Commit(branch string, idx core.Index, message string) (Commit, er
 // produced by EncodeRootRefs makes this a multi-root commit: every
 // referenced root clears the GC admission gate and is marked and scrubbed
 // alongside the primary (see RootRef).
+//
+// CommitMeta is unconditional: the new commit's parent is whatever the
+// head is when the commit lands, not the version idx was derived from. It
+// is therefore safe only for a branch's single writer; concurrent writers
+// on one branch must commit through CommitRetry, whose compare-and-swap
+// keeps one writer from silently dropping another's work.
 func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []byte) (Commit, error) {
+	return r.commitMeta(branch, idx, message, meta, nil)
+}
+
+// commitMeta is CommitMeta with an optional compare-and-swap on the branch
+// head: with a non-nil base the commit lands only if the head still equals
+// *base (a zero *base means the branch must not exist yet), and fails with
+// ErrHeadMoved — nothing moved — otherwise.
+func (r *Repo) commitMeta(branch string, idx core.Index, message string, meta []byte, base *hash.Hash) (Commit, error) {
 	if branch == "" {
 		return Commit{}, errors.New("version: empty branch name")
 	}
@@ -182,9 +202,6 @@ func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []
 	if h, ok := idx.(interface{ Height() int }); ok {
 		c.Height = h.Height()
 	}
-	if head, ok := r.branches[branch]; ok {
-		c.Parents = []hash.Hash{head}
-	}
 	if err := r.gcAdmitCommitLocked(c.Root); err != nil {
 		return Commit{}, err
 	}
@@ -196,6 +213,15 @@ func (r *Repo) CommitMeta(branch string, idx core.Index, message string, meta []
 		if err := r.gcAdmitCommitLocked(ref.Root); err != nil {
 			return Commit{}, err
 		}
+	}
+	// Read the head only now: the admission gate may have waited out a
+	// sweep with r.mu released, during which other commits can land.
+	head, ok := r.branches[branch]
+	if base != nil && head != *base {
+		return Commit{}, fmt.Errorf("%w: branch %q", ErrHeadMoved, branch)
+	}
+	if ok {
+		c.Parents = []hash.Hash{head}
 	}
 	c.ID = r.s.Put(encodeCommit(c))
 	r.commits[c.ID] = c
@@ -281,13 +307,21 @@ func (r *Repo) Checkout(id hash.Hash) (core.Index, error) {
 
 // CheckoutBranch checks out the head of a branch.
 func (r *Repo) CheckoutBranch(name string) (core.Index, error) {
+	_, idx, err := r.checkoutBranch(name)
+	return idx, err
+}
+
+// checkoutBranch checks out a branch's head under one lock, returning the
+// head commit's ID with its index so the two belong to the same commit.
+func (r *Repo) checkoutBranch(name string) (hash.Hash, core.Index, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	id, ok := r.branches[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownBranch, name)
+		return hash.Hash{}, nil, fmt.Errorf("%w: %q", ErrUnknownBranch, name)
 	}
-	return r.checkoutLocked(r.commits[id])
+	idx, err := r.checkoutLocked(r.commits[id])
+	return id, idx, err
 }
 
 // checkoutLocked loads c's index view. Caller holds r.mu (read or write).

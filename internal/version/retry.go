@@ -19,34 +19,44 @@ const (
 )
 
 // CommitRetry runs mutate against the current head version of branch and
-// commits the result, absorbing the ErrCommitRaced contract: a commit that
-// lost its flushed pages to a concurrent GC pass is redone from a fresh
-// checkout, with exponential backoff and jitter between attempts. This is
-// the loop every writer that overlaps GC would otherwise hand-roll; the
-// forkbase servlet's put path and the GC soak tests both commit through
-// it.
+// commits the result as a compare-and-swap on the branch head: the commit
+// lands only if the head is still the commit mutate's index was checked
+// out from. When another writer committed in between (ErrHeadMoved), or
+// the commit lost its flushed pages to a concurrent GC pass
+// (ErrCommitRaced), nothing moves and the attempt is redone from a fresh
+// checkout, with exponential backoff and jitter between attempts. Every
+// commit CommitRetry returns therefore descends from — and contains — every
+// commit that was on the branch when it landed, so concurrent writers on
+// one branch never drop each other's acknowledged work. This is the loop
+// every concurrent writer would otherwise hand-roll; the forkbase servlet's
+// put path and the GC soak tests both commit through it.
 //
 // mutate receives the branch head's checked-out index — nil when the
 // branch does not exist yet, in which case mutate must build the first
-// version itself — and returns the successor version to commit. mutate may
-// run more than once and must be restartable: derive the new version only
-// from the index passed in, never from state captured outside the call.
-// Any error from mutate aborts the loop unchanged.
+// version itself, and the commit lands only if the branch still does not
+// exist — and returns the successor version to commit. mutate may run more
+// than once and must be restartable: derive the new version only from the
+// index passed in, never from state captured outside the call. Any error
+// from mutate aborts the loop unchanged. When the attempts are exhausted
+// the last ErrHeadMoved or ErrCommitRaced is returned wrapped.
 func CommitRetry(r *Repo, branch, message string, mutate func(idx core.Index) (core.Index, error)) (Commit, error) {
 	return CommitRetryMeta(r, branch, message, nil, mutate)
 }
 
 // CommitRetryMeta is CommitRetry with commit metadata: every attempt
-// records the same meta bytes on the commit it tries (see Repo.CommitMeta).
-// The ingest merge path uses it so the WAL high-water mark survives however
-// many GC races the commit has to ride out.
+// records the same meta bytes on the commit it tries (see Repo.CommitMeta),
+// under the same compare-and-swap on the branch head. The ingest merge
+// path uses it so the WAL high-water mark survives however many GC races
+// the commit has to ride out.
 func CommitRetryMeta(r *Repo, branch, message string, meta []byte, mutate func(idx core.Index) (core.Index, error)) (Commit, error) {
 	var lastErr error
 	for attempt := 0; attempt < commitRetryAttempts; attempt++ {
 		if attempt > 0 {
 			sleepBackoff(attempt)
 		}
-		idx, err := r.CheckoutBranch(branch)
+		// base stays zero for a missing branch: the commit then lands only
+		// if no other writer created the branch first.
+		base, idx, err := r.checkoutBranch(branch)
 		if err != nil && !errors.Is(err, ErrUnknownBranch) {
 			return Commit{}, err
 		}
@@ -54,11 +64,11 @@ func CommitRetryMeta(r *Repo, branch, message string, meta []byte, mutate func(i
 		if err != nil {
 			return Commit{}, err
 		}
-		c, err := r.CommitMeta(branch, next, message, meta)
+		c, err := r.commitMeta(branch, next, message, meta, &base)
 		if err == nil {
 			return c, nil
 		}
-		if !errors.Is(err, ErrCommitRaced) {
+		if !errors.Is(err, ErrCommitRaced) && !errors.Is(err, ErrHeadMoved) {
 			return Commit{}, err
 		}
 		lastErr = err
